@@ -3,8 +3,11 @@
 // message size over Myrinet-2000 per middleware), Table 1 (one-way
 // latency and peak bandwidth), the MadIO overhead claim, the VTHD WAN
 // parallel-streams experiment, and the VRP lossy-link experiment, plus
-// the ablations DESIGN.md calls out. Used by bench_test.go and
-// cmd/padico-bench.
+// the ablations DESIGN.md calls out and the later data-grid, weather,
+// store, telemetry, SLO, failure and time-series workloads. Every one
+// is an entry of the scenario registry (Scenarios, registry.go), which
+// cmd/padico-bench runs and determinism_test.go pins; bench_test.go
+// and gridbench call the workload functions directly.
 package bench
 
 import (
@@ -54,8 +57,8 @@ type Series struct {
 // Row is one column of Table 1.
 type Row struct {
 	Name     string
-	OnewayUS float64 // one-way latency, µs
-	PeakMBps float64 // bandwidth at 1 MB
+	OnewayUS float64 `prec:"2"` // one-way latency, µs
+	PeakMBps float64 `prec:"1"` // bandwidth at 1 MB
 }
 
 // ---------------------------------------------------------------------
@@ -376,48 +379,25 @@ func tcpEthernet(size int) float64 {
 // ---------------------------------------------------------------------
 // Table 1.
 
-// Table1 reproduces the latency/bandwidth table.
+// Table1 reproduces the latency/bandwidth table. Each measurement runs
+// on a fresh runner (and kernel) for isolation.
 func Table1() []Row {
-	mk := func(name string, r *Runner) Row {
-		lat, _ := r.measure(1, 256)
-		r2 := rebuild(name)
-		_, bw := r2.measure(1<<20, 16)
+	mk := func(name string, build func() *Runner) Row {
+		lat, _ := build().measure(1, 256)
+		_, bw := build().measure(1<<20, 16)
 		return Row{Name: name, OnewayUS: float64(lat.Nanoseconds()) / 2 / 1e3, PeakMBps: bw}
 	}
+	orbOn := func(p orb.Profile) func() *Runner { return func() *Runner { return ORBOnMyrinet(p) } }
 	return []Row{
-		mk("Circuit", CircuitOnMyrinet()),
-		mk("VLink", VLinkOnMyrinet()),
-		mk("MPICH", MPIPadico()),
-		mk("omniORB 3", ORBOnMyrinet(orb.OmniORB3)),
-		mk("omniORB 4", ORBOnMyrinet(orb.OmniORB4)),
-		mk("Java sockets", JavaOnMyrinet()),
-		mk("Mico", ORBOnMyrinet(orb.Mico)),
-		mk("ORBacus", ORBOnMyrinet(orb.ORBacus)),
+		mk("Circuit", CircuitOnMyrinet),
+		mk("VLink", VLinkOnMyrinet),
+		mk("MPICH", MPIPadico),
+		mk("omniORB 3", orbOn(orb.OmniORB3)),
+		mk("omniORB 4", orbOn(orb.OmniORB4)),
+		mk("Java sockets", JavaOnMyrinet),
+		mk("Mico", orbOn(orb.Mico)),
+		mk("ORBacus", orbOn(orb.ORBacus)),
 	}
-}
-
-// rebuild returns a fresh runner for the named Table 1 row (each
-// measurement runs on a fresh kernel for isolation).
-func rebuild(name string) *Runner {
-	switch name {
-	case "Circuit":
-		return CircuitOnMyrinet()
-	case "VLink":
-		return VLinkOnMyrinet()
-	case "MPICH":
-		return MPIPadico()
-	case "omniORB 3":
-		return ORBOnMyrinet(orb.OmniORB3)
-	case "omniORB 4":
-		return ORBOnMyrinet(orb.OmniORB4)
-	case "Java sockets":
-		return JavaOnMyrinet()
-	case "Mico":
-		return ORBOnMyrinet(orb.Mico)
-	case "ORBacus":
-		return ORBOnMyrinet(orb.ORBacus)
-	}
-	panic("bench: unknown row " + name)
 }
 
 // ---------------------------------------------------------------------
@@ -425,17 +405,17 @@ func rebuild(name string) *Runner {
 
 // OverheadResult reports the two overhead claims.
 type OverheadResult struct {
-	MadIOCombinedUS float64 // MadIO-over-Madeleine one-way overhead, µs
-	MadIOSeparateUS float64 // same without header combining (ablation)
-	MPIPadicoUS     float64 // MPI one-way inside PadicoTM
-	MPIDirectUS     float64 // MPI one-way directly over a Circuit channel
+	MadIOCombinedUS float64 `prec:"3"` // MadIO-over-Madeleine one-way overhead, µs
+	MadIOSeparateUS float64 `prec:"3"` // same without header combining (ablation)
+	MPIPadicoUS     float64 `prec:"2"` // MPI one-way inside PadicoTM
+	MPIDirectUS     float64 `prec:"2"` // MPI one-way directly over a Circuit channel
 }
 
 // Overhead measures the §4.1/§5 overhead claims.
 func Overhead() OverheadResult {
 	var res OverheadResult
-	res.MadIOCombinedUS = madioLatency(true) - madeleineBaselineUS
-	res.MadIOSeparateUS = madioLatency(false) - madeleineBaselineUS
+	res.MadIOCombinedUS = rawMadIOLatency(grid.Cluster(2), true) - madeleineBaselineUS
+	res.MadIOSeparateUS = rawMadIOLatency(grid.Cluster(2), false) - madeleineBaselineUS
 	lat, _ := MPIPadico().measure(1, 256)
 	res.MPIPadicoUS = float64(lat.Nanoseconds()) / 2 / 1e3
 	lat2, _ := mpiDirect().measure(1, 256)
@@ -447,18 +427,8 @@ func Overhead() OverheadResult {
 // µs (see madeleine tests: GM 5.7 incl framing + 2×1.25 Madeleine).
 const madeleineBaselineUS = 8.28
 
-func madioLatency(combining bool) float64 {
-	g := grid.Cluster(2)
-	if !combining {
-		// Rebuild MadIO without header combining: measured through a raw
-		// VLink on the madio driver is polluted by VLink costs, so probe
-		// the MadIO layer directly through the runtime's instance.
-		return rawMadIOLatency(g, false)
-	}
-	return rawMadIOLatency(g, true)
-}
-
-// rawMadIOLatency measures ping-pong directly at the MadIO layer.
+// rawMadIOLatency measures ping-pong directly at the MadIO layer: a
+// raw VLink on the madio driver would add VLink costs to the figure.
 func rawMadIOLatency(g *grid.Grid, combining bool) float64 {
 	// The grid builder wires MadIO with combining; for the ablation we
 	// wire the second hardware channel without it.
@@ -515,8 +485,8 @@ func mpiDirect() *Runner {
 
 // WANResult is the VTHD experiment outcome.
 type WANResult struct {
-	SingleMBps  float64
-	StripedMBps float64
+	SingleMBps  float64 `prec:"1"`
+	StripedMBps float64 `prec:"1"`
 	Streams     int
 }
 
@@ -584,8 +554,8 @@ func wanRate(dec selector.Decision, size int) float64 {
 type VRPResult struct {
 	TCPKBps     float64
 	VRPKBps     float64
-	SkippedFrac float64
-	Tolerance   float64
+	SkippedFrac float64 `prec:"3"`
+	Tolerance   float64 `prec:"2"`
 }
 
 // VRPBench measures plain TCP vs VRP with 10% tolerance on the
@@ -724,7 +694,8 @@ func TCPBulk() float64 {
 // single configuration tracked by BenchmarkDataGridWallClock and
 // BENCH_4.json.
 func DataGridWallClock() DataGridResult {
-	return dataGridRun(4, 3, false)
+	r, _ := dataGridRun(4, 3, false, false)
+	return r
 }
 
 // ---------------------------------------------------------------------
@@ -739,16 +710,16 @@ type WeatherResult struct {
 	// fabric degradation with none of the adaptation.
 	Adaptive bool
 	// MakespanS is the whole workload's virtual time.
-	MakespanS float64
+	MakespanS float64 `prec:"2"`
 	// StreamS is the completion time of the bulk stream that crosses
 	// the degrade instant (the re-selection showcase).
-	StreamS float64
+	StreamS float64 `prec:"2"`
 	// GetS is the post-degrade GET phase duration (the source-switch
 	// showcase).
-	GetS float64
+	GetS float64 `prec:"2"`
 	// DegradedLinkMB counts bytes serialized onto the degraded
 	// site0-site1 core — the currency adaptation saves.
-	DegradedLinkMB float64
+	DegradedLinkMB float64 `prec:"1"`
 	// Adaptation events.
 	SourceSwitches, Reselects, Resumes int64
 }
@@ -772,21 +743,18 @@ func weatherPayload(size int) []byte {
 // WeatherBench runs the degrading-WAN workload twice — static
 // selection, then full adaptation — and reports both rows.
 func WeatherBench() []WeatherResult {
-	return []WeatherResult{weatherRun(false), weatherRun(true)}
+	st, _ := weatherRun(false, false)
+	ad, _ := weatherRun(true, false)
+	return []WeatherResult{st, ad}
 }
 
 // weatherRun is one degrading-WAN workload: ingest before the degrade,
 // a bulk stream across it, GETs after it. Everything is deterministic;
-// the two runs differ only in whether anything adapts.
-func weatherRun(adaptive bool) WeatherResult {
-	r, _ := weatherRunTraced(adaptive, false)
-	return r
-}
-
-// weatherRunTraced is weatherRun with an optional telemetry hub: when
-// traced, the hub is attached (tracing on) before any layer is built,
-// so spans from the whole stack land in it.
-func weatherRunTraced(adaptive, traced bool) (WeatherResult, *telemetry.Hub) {
+// the two runs differ only in whether anything adapts. When traced, a
+// telemetry hub is attached (tracing on) before any layer is built, so
+// spans from the whole stack land in it; tracing adds a context to
+// wire headers, so traced and untraced virtual times differ.
+func weatherRun(adaptive, traced bool) (WeatherResult, *telemetry.Hub) {
 	g := grid.DegradingWAN(2) // site0 {0,1}, site1 {2,3}, site2 {4,5}
 	var h *telemetry.Hub
 	if traced {
@@ -800,14 +768,7 @@ func weatherRunTraced(adaptive, traced bool) (WeatherResult, *telemetry.Hub) {
 	// Placement on the two remote sites only: every GET from site0 has
 	// a choice of remote source, which is exactly what the forecast
 	// ranking decides.
-	ring := datagrid.NewRing(0)
-	for _, n := range []topology.NodeID{2, 3} {
-		ring.Add(n, "site1")
-	}
-	for _, n := range []topology.NodeID{4, 5} {
-		ring.Add(n, "site2")
-	}
-	dg.SetRing(ring)
+	placeOn(g, dg, 2, 3, 4, 5)
 
 	res := WeatherResult{Adaptive: adaptive}
 	data := weatherPayload(WeatherObjectSize)
@@ -912,12 +873,12 @@ type DataGridResult struct {
 	// over the two-tier spanning tree instead of point-to-point jobs.
 	Hierarchical bool
 	// IngestMBps is the aggregate client->first-replica PUT rate.
-	IngestMBps float64
+	IngestMBps float64 `prec:"1"`
 	// ConvergeS is the virtual time from the last PUT returning until
 	// every object reached its full replica set.
-	ConvergeS float64
+	ConvergeS float64 `prec:"2"`
 	// WANMB is the total wide-area traffic of the run, both directions.
-	WANMB float64
+	WANMB float64 `prec:"1"`
 	// CircuitJobs / VLinkJobs split transfers by paradigm; GroupJobs
 	// counts replication fan-outs served by one hierarchical multicast.
 	CircuitJobs int64
@@ -940,7 +901,8 @@ func DataGridBench() []DataGridResult {
 	for _, cfg := range []struct{ streams, replicas int }{
 		{1, 2}, {4, 2}, {4, 3},
 	} {
-		out = append(out, dataGridRun(cfg.streams, cfg.replicas, false))
+		r, _ := dataGridRun(cfg.streams, cfg.replicas, false, false)
+		out = append(out, r)
 	}
 	return out
 }
@@ -953,20 +915,14 @@ func DataGridBench() []DataGridResult {
 // flat fan-out pays two — strictly fewer WAN bytes and a lower
 // convergence makespan, deterministically.
 func GroupBench() []DataGridResult {
-	return []DataGridResult{
-		dataGridRun(4, 3, false),
-		dataGridRun(4, 3, true),
-	}
+	flat, _ := dataGridRun(4, 3, false, false)
+	hier, _ := dataGridRun(4, 3, true, false)
+	return []DataGridResult{flat, hier}
 }
 
-func dataGridRun(streams, replicas int, hierarchical bool) DataGridResult {
-	r, _ := dataGridRunTraced(streams, replicas, hierarchical, false)
-	return r
-}
-
-// dataGridRunTraced is dataGridRun with an optional telemetry hub
-// (attached before the data grid is built, tracing on).
-func dataGridRunTraced(streams, replicas int, hierarchical, traced bool) (DataGridResult, *telemetry.Hub) {
+// dataGridRun is one data-grid configuration, with an optional
+// telemetry hub (attached before the data grid is built, tracing on).
+func dataGridRun(streams, replicas int, hierarchical, traced bool) (DataGridResult, *telemetry.Hub) {
 	g := grid.TwoClusterWANLoss(2, 2, DataGridWANLoss)
 	var h *telemetry.Hub
 	if traced {
@@ -1012,7 +968,7 @@ func dataGridRunTraced(streams, replicas int, hierarchical, traced bool) (DataGr
 func WeatherTrace() []byte {
 	var out []byte
 	for _, adaptive := range []bool{false, true} {
-		_, h := weatherRunTraced(adaptive, true)
+		_, h := weatherRun(adaptive, true)
 		out = append(out, h.TraceJSON()...)
 	}
 	return out
@@ -1030,7 +986,7 @@ func DataGridTrace() []byte {
 	}{
 		{1, 2, false}, {4, 2, false}, {4, 3, false}, {4, 3, true},
 	} {
-		_, h := dataGridRunTraced(cfg.streams, cfg.replicas, cfg.hier, true)
+		_, h := dataGridRun(cfg.streams, cfg.replicas, cfg.hier, true)
 		out = append(out, h.TraceJSON()...)
 	}
 	return out
@@ -1057,14 +1013,7 @@ func TraceRun() *telemetry.Hub {
 	netsim.ScheduleLoss(g.K, vtime.Time(0).Add(2*time.Second), hop, 0.03)
 	netsim.ScheduleLoss(g.K, vtime.Time(0).Add(4*time.Second), hop, 0)
 	dg := g.NewDataGrid(datagrid.Config{Replicas: 3, Streams: 4, Adaptive: true, Hierarchical: true})
-	ring := datagrid.NewRing(0)
-	for _, n := range []topology.NodeID{2, 3} {
-		ring.Add(n, "site1")
-	}
-	for _, n := range []topology.NodeID{4, 5} {
-		ring.Add(n, "site2")
-	}
-	dg.SetRing(ring)
+	placeOn(g, dg, 2, 3, 4, 5)
 	data := weatherPayload(1 << 20)
 	err := g.K.Run(func(p *vtime.Proc) {
 		// Phase 1 (healthy, then through the loss burst): ingest with
@@ -1204,11 +1153,7 @@ func SLOBench() *telemetry.SLOMonitor {
 	dg := g.NewDataGrid(datagrid.Config{Replicas: 2, Streams: 4, RepairInterval: time.Second})
 	// Replicas land in site1 only: every transfer crosses the core that
 	// collapses at DegradeAt.
-	ring := datagrid.NewRing(0)
-	for _, n := range []topology.NodeID{2, 3} {
-		ring.Add(n, "site1")
-	}
-	dg.SetRing(ring)
+	placeOn(g, dg, 2, 3)
 	inj := faults.NewInjector(g)
 	wireDetector(g, inj, dg)
 	mon := telemetry.NewSLOMonitor(h, 0, SLOObjectives()...)
@@ -1265,15 +1210,15 @@ type PartitionResult struct {
 	Testbed  string
 	// DetectS is the fault instant to the first detected transition
 	// (failure-detector sweep, or the weather forecast going Down).
-	DetectS float64
+	DetectS float64 `prec:"3"`
 	// RecoverS is the fault instant to full reconvergence: every object
 	// verified at its replication factor again, or — for the WAN
 	// partition — a full client read round completing on the rerouted
 	// wire.
-	RecoverS float64
+	RecoverS float64 `prec:"3"`
 	// MovedMB counts payload bytes moved while healing (re-replication
 	// traffic), or wire bytes the backup WAN carried after the reroute.
-	MovedMB float64
+	MovedMB float64 `prec:"2"`
 	// Repairs counts repair transfers completed while healing.
 	Repairs int64
 	// Lost is the number of objects with no reachable fresh replica
@@ -1297,6 +1242,16 @@ func PartitionBench() []PartitionResult {
 		crashRecoveryRun("site-blackout", true),
 		wanPartitionRun(),
 	}
+}
+
+// placeOn restricts the data grid's ring to the given nodes, zoned by
+// site, before the first Put.
+func placeOn(g *grid.Grid, dg *datagrid.DataGrid, nodes ...topology.NodeID) {
+	ring := datagrid.NewRing(0)
+	for _, n := range nodes {
+		ring.Add(n, g.Topo.Node(n).Site)
+	}
+	dg.SetRing(ring)
 }
 
 // replicasHealed reports whether every catalogued object verifies at
@@ -1411,11 +1366,7 @@ func wanPartitionRun() PartitionResult {
 		RetryTimeout: 5 * time.Second, RepairInterval: time.Second,
 	})
 	// Both replicas in site1: every client read from site0 crosses a WAN.
-	ring := datagrid.NewRing(0)
-	for _, n := range []topology.NodeID{2, 3} {
-		ring.Add(n, "site1")
-	}
-	dg.SetRing(ring)
+	placeOn(g, dg, 2, 3)
 	inj := faults.NewInjector(g)
 	var downAt vtime.Time
 	unsub := wsvc.Subscribe(func(a, b topology.NodeID, nw *topology.Network, f selector.Forecast) {
@@ -1494,12 +1445,12 @@ type StoreResult struct {
 	// PutMBps is the aggregate client->first-replica ingest rate; on
 	// the pack engine this includes the simulated needle appends and
 	// batched fsyncs, so it trails the memory row.
-	PutMBps float64
+	PutMBps float64 `prec:"1"`
 	// GetMBps is the aggregate read-back rate from a remote client.
-	GetMBps float64
+	GetMBps float64 `prec:"1"`
 	// ScrubS is one synchronous grid-wide audit pass (every replica
 	// re-read and re-hashed, paced to the scrub rate bound).
-	ScrubS float64
+	ScrubS float64 `prec:"3"`
 	// Corrupted needles were injected; Quarantined is what the next
 	// audit pass caught (must equal Corrupted); Repaired counts copies
 	// the anti-entropy loop restored; Lost must be zero.

@@ -1,9 +1,10 @@
 // The time-series run: the DegradingWAN + partition scenario of
 // SLOBench instrumented with the series sampler instead of (only) the
 // SLO monitor, on durable pack engines so every layer with a gauge has
-// something to show. One run feeds both export surfaces of
-// padico-bench: -series (pinned deterministic JSON) and -dash (the
-// self-contained HTML dashboard), whose curves tell the whole story —
+// something to show. One run of the "series" scenario feeds its
+// artifacts: series.json (pinned deterministic JSON), metrics.prom
+// and dash.html (the self-contained HTML dashboard), whose curves tell
+// the whole story —
 // healthy ingest, the core collapsing at DegradeAt (hop busy-fraction
 // jumps to saturation, queued bytes pile up, transfer p99 explodes),
 // the site partition (lost-object rate screams, live channels drain),
@@ -21,7 +22,6 @@ import (
 	"padico/internal/store"
 	"padico/internal/telemetry"
 	"padico/internal/telemetry/series"
-	"padico/internal/topology"
 	"padico/internal/vtime"
 	"padico/internal/weather"
 )
@@ -63,11 +63,7 @@ func SeriesRun() SeriesOutcome {
 	})
 	// Replicas land in site1 only: every transfer crosses the core that
 	// collapses at DegradeAt.
-	ring := datagrid.NewRing(0)
-	for _, n := range []topology.NodeID{2, 3} {
-		ring.Add(n, "site1")
-	}
-	dg.SetRing(ring)
+	placeOn(g, dg, 2, 3)
 	inj := faults.NewInjector(g)
 	wireDetector(g, inj, dg)
 

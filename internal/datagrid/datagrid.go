@@ -167,8 +167,10 @@ type Stats struct {
 	// restored after a quarantine or injected fault.
 	Repairs int64
 	// NodesDown gauges ring nodes currently marked unreachable by the
-	// failure detector (MarkDown/MarkUp).
-	NodesDown int64
+	// failure detector (MarkDown/MarkUp). It is a level, not a count, so
+	// the registry reads it through a GaugeFunc instead of the struct
+	// binding.
+	NodesDown int64 `metric:"-"`
 	// LostObjects counts repair passes that found an object with no
 	// reachable fresh replica — one bump per pass per object, so
 	// availability SLOs burn for the whole duration of the outage, not
@@ -272,6 +274,9 @@ func New(k *vtime.Kernel, topo *topology.Grid, mgr *session.Manager, cfg Config)
 		})
 		reg.GaugeFunc("datagrid.sched_inflight_transfers", func() int64 {
 			return int64(len(dg.sched.inflight))
+		})
+		reg.GaugeFunc("datagrid.nodes_down", func() int64 {
+			return atomic.LoadInt64(&dg.stats.NodesDown)
 		})
 	}
 	if cfg.RepairInterval > 0 {

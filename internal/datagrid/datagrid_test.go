@@ -670,3 +670,47 @@ func TestAdaptiveTransfersConfig(t *testing.T) {
 		t.Fatal("no adaptive opens despite Config.Adaptive")
 	}
 }
+
+// TestNodesDownIsGauge: datagrid.nodes_down is a level. Under the
+// sampler it must render as a gauge whose peak is the number of nodes
+// marked down (a counter would render MarkUp's decrease as a source
+// reset and hide the heal), and the Prometheus exposition must type it
+// as a gauge.
+func TestNodesDownIsGauge(t *testing.T) {
+	g := grid.TwoClusterWAN(2, 2)
+	h := g.Telemetry() // attach the hub before the datagrid registers
+	dg := g.NewDataGrid(datagrid.Config{Replicas: 2})
+	sam := h.StartSampler(vtime.Duration(100 * time.Millisecond))
+	down := []topology.NodeID{1, 2, 3}
+	if err := g.K.Run(func(p *vtime.Proc) {
+		p.Sleep(300 * time.Millisecond)
+		for _, n := range down {
+			dg.MarkDown(n)
+		}
+		p.Sleep(300 * time.Millisecond)
+		for _, n := range down {
+			dg.MarkUp(n)
+		}
+		p.Sleep(300 * time.Millisecond)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sam.Stop()
+	tr := sam.Series().Get("datagrid.nodes_down")
+	if tr == nil || tr.Kind != "gauge" {
+		t.Fatalf("datagrid.nodes_down track missing or not a gauge: %+v", tr)
+	}
+	if _, peak := tr.MinMax(); peak != float64(len(down)) {
+		t.Errorf("nodes_down peak %v, want %d", peak, len(down))
+	}
+	if last := tr.Last(); last != 0 {
+		t.Errorf("nodes_down after the heal = %v, want 0", last)
+	}
+	var prom bytes.Buffer
+	if err := h.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(prom.Bytes(), []byte("# TYPE padico_datagrid_nodes_down gauge\n")) {
+		t.Errorf("nodes_down not exposed as a Prometheus gauge:\n%s", prom.String())
+	}
+}

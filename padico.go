@@ -41,11 +41,13 @@
 //     group.Multicast when the tree saves WAN crossings
 //     (Grid.NewDataGrid wires it onto a testbed);
 //   - internal/bench regenerates every table and figure of the paper,
-//     plus the data-grid replication experiment;
+//     plus the later workloads, as one scenario registry
+//     (bench.Scenarios);
 //   - examples/ holds runnable scenarios (quickstart, code coupling,
 //     computation monitoring, WAN methods, datagrid);
-//   - cmd/padico-bench prints the full evaluation, cmd/padico-info the
-//     topology/selector view, cmd/padico-demo a traced quickstart.
+//   - cmd/padico-bench runs the registry (-run name[,name...]|all,
+//     -list, -out DIR), cmd/padico-info the topology/selector view,
+//     cmd/padico-demo a traced quickstart.
 package padico
 
 // Version identifies this reproduction.
